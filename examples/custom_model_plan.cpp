@@ -50,8 +50,8 @@ int main() {
     const core::TrainingPlan plan = core::Planner(profiles).plan({1.5});
     std::cout << plan.to_table() << '\n';
 
-    // Round-trip the plan through its JSON wire format, as the cluster
-    // coordinator would receive it.
+    // Round-trip the plan through its JSON wire format, as a scheduler
+    // receiving plans from users would parse it.
     const std::string wire = plan.to_json().dump();
     const core::TrainingPlan received =
         core::TrainingPlan::from_json(Json::parse(wire));

@@ -4,8 +4,8 @@
 //
 // Builds the model from the zoo, profiles it on the simulated A100 +
 // NVSwitch testbed, runs the burst-parallel planner, and prints the
-// per-layer plan plus its JSON form (what the paper's cluster coordinator
-// consumes, Fig. 6).
+// per-layer plan plus its JSON wire format (the form `deeppool plan` prints
+// and the paper's Fig. 6 coordinator consumes).
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     report("Data parallel  ", dp);
     report("Burst parallel ", bp);
 
-    std::cout << "\nTraining plan JSON (submit to the cluster coordinator):\n"
+    std::cout << "\nTraining plan JSON (the planner's wire format):\n"
               << bp.to_json().dump(2) << '\n';
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

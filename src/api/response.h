@@ -5,11 +5,10 @@
 // Service — from the *envelope* around it: ok/error status, the echoed
 // op, the service's cumulative counters and the version stamp. `deeppool
 // serve` writes one compact envelope per NDJSON line; the one-shot CLI
-// unwraps and prints just the payload. The parity caveat is deliberate:
-// a schedule payload reports its run's plan-cache deltas, so on a *warm*
-// Service those counters (and only those) reflect the resident cache —
-// clients comparing payloads across transports should compare cold
-// responses or mask result.fleet.plan_cache_{hits,misses}.
+// unwraps and prints just the payload. One parity caveat: a schedule
+// payload's result.fleet.plan_cache_{hits,misses} count that run's own
+// cache lookups, so on a *warm* Service those two fields (and only those)
+// reflect what the resident cache already held.
 #pragma once
 
 #include <cstdint>

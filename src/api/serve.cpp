@@ -68,11 +68,11 @@ LineStatus read_line_capped(std::istream& in, std::string& line,
   return oversized ? LineStatus::kOversized : LineStatus::kLine;
 }
 
+}  // namespace
+
 bool blank(const std::string& line) {
   return line.find_first_not_of(" \t\r") == std::string::npos;
 }
-
-}  // namespace
 
 ServeLineResult process_serve_line(Service& service,
                                    const ServeOptions& options,
@@ -184,12 +184,6 @@ bool journal_append_degrading(Journal& journal, const JournalRecord& record) {
   }
 }
 
-void journal_append_degrading(std::optional<Journal>& journal,
-                              const JournalRecord& record) {
-  if (!journal) return;
-  if (!journal_append_degrading(*journal, record)) journal.reset();
-}
-
 int run_serve(std::istream& in, std::ostream& out, Service& service,
               const ServeOptions& options) {
   if (options.max_line_bytes < 1) {
@@ -241,15 +235,12 @@ int run_serve(std::istream& in, std::ostream& out, Service& service,
     ServeLineInput entry = std::move(pending.front());
     pending.pop_front();
     const auto start = std::chrono::steady_clock::now();
-    bool admitted = false;
-    if (entry.kind == ServeLineInput::Kind::kRequest) {
+    const bool admitted = entry.kind == ServeLineInput::Kind::kRequest;
+    if (admitted) {
+      // Never sheds: this loop handles one line at a time and releases the
+      // slot before reading on, so an in-flight cap >= 1 always has room.
       admission.dequeue();
-      admitted = admission.try_admit();
-      if (!admitted) {
-        entry.kind = ServeLineInput::Kind::kShedInFlight;
-        entry.retry_after_ms = admission.shed();
-        entry.line.clear();
-      }
+      admission.try_admit();
     }
     ServeLineResult served = process_serve_line(
         service, options, std::move(entry), journal ? &*journal : nullptr);
@@ -263,7 +254,9 @@ int run_serve(std::istream& in, std::ostream& out, Service& service,
     }
     out << to_json(served.response).dump() << '\n';
     out.flush();
-    journal_append_degrading(journal, served.record);
+    if (journal && !journal_append_degrading(*journal, served.record)) {
+      journal.reset();
+    }
   }
   return 0;
 }

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <string>
 
@@ -70,6 +69,10 @@ int run_serve(std::istream& in, std::ostream& out, Service& service);
 // classified line here for the part that must answer identically over
 // every transport: parse -> handle -> envelope, plus the journal record.
 
+/// Whether `line` holds only spaces, tabs and carriage returns. Every
+/// transport skips such lines without answering them.
+bool blank(const std::string& line);
+
 /// One classified input line. kRequest lines have already passed
 /// admission — the transport holds the in-flight slot around the
 /// process_serve_line call. Shed kinds carry the retry hint the transport
@@ -103,17 +106,12 @@ ServeLineResult process_serve_line(Service& service,
                                    ServeLineInput input,
                                    const Journal* journal);
 
-/// Appends `record` to `*journal`, degrading gracefully on failure: the
-/// journal is disabled (the optional is reset), "degraded/journal"
-/// counters tick, and one line goes to stderr — the session continues
-/// journal-less. The io::Server serializes calls with its own lock.
-void journal_append_degrading(std::optional<Journal>& journal,
-                              const JournalRecord& record);
-
-/// The non-destroying form: false = the append failed (counters ticked,
-/// stderr line emitted) and the caller must stop journalling. io::Server
-/// uses this one — connection threads hold const pointers into the
-/// Journal concurrently, so degrading must disable it, never destroy it.
+/// Appends `record` to `journal`, degrading gracefully on failure: false =
+/// the append failed ("degraded/journal" counters ticked, one stderr line
+/// emitted) and the caller must stop journalling — the session continues
+/// journal-less. io::Server serializes calls with its own lock and only
+/// disables its Journal, since connection threads hold const pointers into
+/// it concurrently.
 bool journal_append_degrading(Journal& journal, const JournalRecord& record);
 
 }  // namespace deeppool::api

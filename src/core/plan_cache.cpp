@@ -10,7 +10,7 @@ namespace deeppool::core {
 
 PlanCache::PlanPtr PlanCache::plan(
     const PlanCacheKey& key, const std::function<TrainingPlan()>& compute,
-    const util::CancelToken* cancel) {
+    const util::CancelToken* cancel, bool* hit) {
   if (cancel != nullptr) cancel->check();
   // Handles resolved once per process; each hit/miss then costs one relaxed
   // atomic add on top of the cache's own bookkeeping.
@@ -35,6 +35,7 @@ PlanCache::PlanPtr PlanCache::plan(
       owner = true;
     }
   }
+  if (hit != nullptr) *hit = !owner;
   if (owner) {
     try {
       DP_SPAN("plan_cache/resolve");

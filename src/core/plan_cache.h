@@ -59,10 +59,14 @@ class PlanCache {
   /// a later lookup may retry. Exactly one counter bumps per call. A
   /// non-null `cancel` is polled before the lookup: a fired token throws
   /// util::CancelledError without touching the cache or its counters
-  /// (hits + misses stay == completed plan() calls).
+  /// (hits + misses stay == completed plan() calls). A non-null `hit`
+  /// receives which counter this call bumped (a wait on an in-flight
+  /// compute is a hit), so a caller sharing the cache can count its own
+  /// lookups instead of diffing the global counters.
   PlanPtr plan(const PlanCacheKey& key,
                const std::function<TrainingPlan()>& compute,
-               const util::CancelToken* cancel = nullptr);
+               const util::CancelToken* cancel = nullptr,
+               bool* hit = nullptr);
 
   /// Lookups answered from the cache (including waits on an in-flight
   /// compute) / lookups that ran the planner. hits() + misses() equals the

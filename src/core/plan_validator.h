@@ -1,11 +1,12 @@
-// Training-plan validation.
+// Training-plan validation: an independent checker of planner output.
 //
-// The cluster coordinator (paper Fig. 6) receives plans as JSON from the
-// planner — or from users — and must reject malformed or unsafe ones before
-// placing them on GPUs. The validator checks structural integrity against
-// the model, search-space legality against the profiles, and audits the
-// GPU-sec amplification of every layer so operators can see where a plan
-// spends its efficiency budget.
+// PlanValidator re-derives what a legal plan must satisfy from the model
+// and its profiles alone, without sharing code with core::Planner: every
+// layer assigned exactly once, GPU counts drawn from the search candidates
+// and within the cluster, positive timing entries; it also audits each
+// layer's GPU-sec amplification against the plan's declared limit. The
+// planner property tests run every generated plan through it, so a planner
+// bug cannot hide behind the planner's own bookkeeping.
 #pragma once
 
 #include <string>

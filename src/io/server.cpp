@@ -22,13 +22,6 @@ std::atomic<bool> g_signal_stop{false};
 
 void on_stop_signal(int) { g_signal_stop.store(true); }
 
-bool blank(const std::string& line) {
-  for (const char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
 double elapsed_ms(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -171,7 +164,7 @@ void Server::serve_connection(Conn& conn) {
     const Connection::ReadStatus status =
         conn.connection.read_line(line, options_.serve.max_line_bytes);
     if (status == Connection::ReadStatus::kEof) break;
-    if (status == Connection::ReadStatus::kLine && blank(line)) continue;
+    if (status == Connection::ReadStatus::kLine && api::blank(line)) continue;
 
     api::ServeLineInput input;
     bool admitted = false;

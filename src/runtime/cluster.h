@@ -1,4 +1,4 @@
-// Cluster coordinator and scenario runner (paper Fig. 6).
+// Scenario runner: one foreground job on a simulated cluster (paper Fig. 6).
 //
 // Places a burst-parallel foreground job on GPUs [0, plan.peak_gpus()) of a
 // simulated cluster, optionally collocates a low-priority background job on

@@ -50,8 +50,6 @@ class FifoPartition final : public PlacementPolicy {
     return Decision{0, std::move(*p)};
   }
 
-  bool supports_index() const override { return true; }
-
   std::optional<IndexedDecision> select_indexed(
       const ClusterIndex& index) const override {
     const ClusterIndex::Entry* head = index.head();
@@ -85,8 +83,6 @@ class BestFit final : public PlacementPolicy {
     return best;
   }
 
-  bool supports_index() const override { return true; }
-
   std::optional<IndexedDecision> select_indexed(
       const ClusterIndex& index) const override {
     const ClusterIndex::Entry* entry =
@@ -113,8 +109,6 @@ class BurstLending final : public PlacementPolicy {
     }
     return std::nullopt;
   }
-
-  bool supports_index() const override { return true; }
 
   std::optional<IndexedDecision> select_indexed(
       const ClusterIndex& index) const override {

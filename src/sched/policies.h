@@ -106,16 +106,11 @@ class PlacementPolicy {
       const std::vector<JobView>& queue, const std::vector<GpuView>& gpus,
       const PolicyContext& ctx = {}) const = 0;
 
-  /// Whether select_indexed() implements this policy against a ClusterIndex.
-  virtual bool supports_index() const { return false; }
   /// O(log n) selection against the incremental index. Must decide exactly
   /// what select() would decide on the equivalent snapshot (the fleet-core
-  /// byte-parity suite enforces this). Base returns nullopt.
+  /// byte-parity suite enforces this).
   virtual std::optional<IndexedDecision> select_indexed(
-      const ClusterIndex& index) const {
-    (void)index;
-    return std::nullopt;
-  }
+      const ClusterIndex& index) const = 0;
 };
 
 /// Factory: "fifo_partition" | "best_fit" | "burst_lending". Throws

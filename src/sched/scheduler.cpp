@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <optional>
 #include <set>
@@ -110,17 +111,13 @@ class Engine {
         interference_(config.mux, config.calibration),
         gpus_(static_cast<std::size_t>(config.num_gpus)),
         trace_(options.trace) {
-    indexed_ = options_.core != "reference" && policy_->supports_index();
+    indexed_ = options_.core != "reference";
     specs_ = generate_workload(workload);
     seed_ = workload.seed;
     if (options_.plan_cache) {
       plan_cache_ = options_.shared_plan_cache != nullptr
                         ? options_.shared_plan_cache
                         : &local_plan_cache_;
-      // Fleet metrics report this run's lookups only, so a pre-warmed
-      // shared cache does not smear earlier runs' counts into ours.
-      plan_hits_before_ = plan_cache_->hits();
-      plan_misses_before_ = plan_cache_->misses();
     }
   }
 
@@ -192,8 +189,11 @@ class Engine {
   /// nullptr when ScheduleRunOptions::plan_cache is off.
   core::PlanCache local_plan_cache_;
   core::PlanCache* plan_cache_ = nullptr;
-  std::int64_t plan_hits_before_ = 0;
-  std::int64_t plan_misses_before_ = 0;
+  /// This run's own cache lookups, so neither a pre-warmed shared cache nor
+  /// a concurrent run sharing it smears other lookups into the fleet
+  /// metrics. Atomic: shape resolution fans out across workers.
+  std::atomic<int> plan_hits_{0};
+  std::atomic<int> plan_misses_{0};
 
   sim::Simulator sim_;
   std::vector<JobSpec> specs_;
@@ -251,10 +251,14 @@ Shape Engine::resolve_shape(const JobSpec& spec) {
         core::ProfileOptions{1, spec.global_batch, true});
     return core::data_parallel_plan(profiles, 1);
   };
-  const core::PlanCache::PlanPtr plan =
-      plan_cache_ != nullptr
-          ? plan_cache_->plan(key, compute, options_.cancel)
-          : std::make_shared<const core::TrainingPlan>(compute());
+  core::PlanCache::PlanPtr plan;
+  if (plan_cache_ != nullptr) {
+    bool hit = false;
+    plan = plan_cache_->plan(key, compute, options_.cancel, &hit);
+    (hit ? plan_hits_ : plan_misses_).fetch_add(1, std::memory_order_relaxed);
+  } else {
+    plan = std::make_shared<const core::TrainingPlan>(compute());
+  }
 
   Shape shape;
   if (fg) {
@@ -763,18 +767,16 @@ ScheduleResult Engine::run() {
   // worker count, and each worker writes only its own index slot. The
   // simulation itself stays single-threaded (it is event-ordered).
   std::vector<Shape> shapes(specs_.size());
-  if (options_.pool != nullptr) {
-    options_.pool->parallel_for(
-        specs_.size(),
-        [&](std::size_t i) { shapes[i] = resolve_shape(specs_[i]); },
-        options_.cancel);
-  } else {
-    util::ThreadPool pool(util::clamp_jobs(options_.jobs, specs_.size()));
-    pool.parallel_for(
-        specs_.size(),
-        [&](std::size_t i) { shapes[i] = resolve_shape(specs_[i]); },
-        options_.cancel);
+  std::optional<util::ThreadPool> local_pool;
+  if (options_.pool == nullptr) {
+    local_pool.emplace(util::clamp_jobs(options_.jobs, specs_.size()));
   }
+  util::ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : *local_pool;
+  pool.parallel_for(
+      specs_.size(),
+      [&](std::size_t i) { shapes[i] = resolve_shape(specs_[i]); },
+      options_.cancel);
   jobs_.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     Job job;
@@ -909,21 +911,15 @@ ScheduleResult Engine::finalize() {
   fleet.calibrated = interference_.calibrated();
   fleet.calib_hits = static_cast<int>(interference_.hits());
   fleet.calib_misses = static_cast<int>(interference_.misses());
-  if (plan_cache_ != nullptr) {
-    fleet.plan_cache_hits =
-        static_cast<int>(plan_cache_->hits() - plan_hits_before_);
-    fleet.plan_cache_misses =
-        static_cast<int>(plan_cache_->misses() - plan_misses_before_);
-  }
+  fleet.plan_cache_hits = plan_hits_.load(std::memory_order_relaxed);
+  fleet.plan_cache_misses = plan_misses_.load(std::memory_order_relaxed);
 
   // Close the utilization integral at the makespan and bin the step curve.
   util_integral_ += busy_ * (makespan - util_last_t_);
   if (makespan > 0.0) {
     fleet.gpu_utilization =
         util_integral_ / (static_cast<double>(config_.num_gpus) * makespan);
-    const int nbins = options_.util_timeline_bins > 0
-                          ? options_.util_timeline_bins
-                          : config_.util_timeline_bins;
+    const int nbins = config_.util_timeline_bins;
     const double width = makespan / static_cast<double>(nbins);
     std::vector<double> bins(static_cast<std::size_t>(nbins), 0.0);
     for (std::size_t i = 0; i < util_steps_.size(); ++i) {
@@ -987,10 +983,6 @@ ScheduleResult run_schedule(const WorkloadSpec& workload,
   if (options.core != "indexed" && options.core != "reference") {
     throw std::invalid_argument("unknown scheduler core \"" + options.core +
                                 "\"; valid cores: indexed | reference");
-  }
-  if (options.util_timeline_bins < 0) {
-    throw std::invalid_argument(
-        "util_timeline_bins override must be >= 0 (0 = use the spec value)");
   }
   Engine engine(workload, config, options);
   return engine.run();

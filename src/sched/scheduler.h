@@ -133,23 +133,11 @@ Json to_json(const ScheduleSpec& spec);
 Json to_json(const JobOutcome& job);
 Json to_json(const ScheduleResult& result);
 
-/// Analytic interference factors, re-exported from calib/ for
-/// compatibility: the calibration subsystem owns the interference math, and
-/// these mux-derived values are its fallback model for uncalibrated pairs
-/// (see calib::analytic_fg_interference for the Fig. 11 ladder semantics).
-inline double fg_interference(const runtime::MultiplexConfig& mux) {
-  return calib::analytic_fg_interference(mux);
-}
-inline double bg_lend_efficiency(const runtime::MultiplexConfig& mux) {
-  return calib::analytic_bg_lend_efficiency(mux);
-}
-
 /// Execution knobs for one run_schedule call. Deliberately *not* part of
 /// the ScheduleSpec JSON: they change how fast the answer is computed, not
-/// what the answer is, so specs stay byte-portable across hosts. Two
-/// exceptions are called out below: util_timeline_bins (an explicit output
-/// override) and metrics_exact_cap (exact below the cap, approximate
-/// percentiles beyond it).
+/// what the answer is, so specs stay byte-portable across hosts. One
+/// exception is called out below: metrics_exact_cap (exact below the cap,
+/// approximate percentiles beyond it).
 struct ScheduleRunOptions {
   /// Worker count for resolving job shapes (the planner DP) before the
   /// event simulation starts; 1 = the serial path. The simulation itself
@@ -174,11 +162,6 @@ struct ScheduleRunOptions {
   /// it); "reference" exists as the executable specification and for
   /// benchmarking the index win.
   std::string core = "indexed";
-  /// > 0 overrides ScheduleConfig::util_timeline_bins, bounding the
-  /// util_timeline JSON for fleet-scale runs without editing the spec. 0 =
-  /// use the spec value. The one knob here that changes the output — it is
-  /// an explicit request for a coarser timeline.
-  int util_timeline_bins = 0;
   /// Per-metric sample cap for fleet aggregates (fg/bg slowdown, queue
   /// delay). Below the cap the summaries are exact and byte-identical to
   /// the unbounded path; past it they collapse into O(1)-memory P-square

@@ -107,15 +107,17 @@ TEST(FleetCore, IndexedMatchesReferenceWithAMeasuredTable) {
 }
 
 TEST(FleetCore, UtilBinsOptionOverridesTheSpecResolution) {
+  // `--util-bins N` edits ScheduleConfig::util_timeline_bins; the timeline
+  // follows the spec's resolution in both cores.
   const WorkloadSpec w = reclaim_trace();
-  const ScheduleConfig c = cluster(8, "burst_lending");
-  ScheduleRunOptions options;
-  options.util_timeline_bins = 6;
-  const ScheduleResult r = run_schedule(w, c, options);
-  EXPECT_EQ(r.fleet.util_timeline.size(), 6u);
-  // Default: the spec's resolution.
+  ScheduleConfig c = cluster(8, "burst_lending");
   EXPECT_EQ(run_schedule(w, c).fleet.util_timeline.size(),
-            static_cast<std::size_t>(c.util_timeline_bins));
+            static_cast<std::size_t>(ScheduleConfig{}.util_timeline_bins));
+  c.util_timeline_bins = 6;
+  EXPECT_EQ(run_schedule(w, c).fleet.util_timeline.size(), 6u);
+  EXPECT_EQ(run_dump(w, c, "indexed"), run_dump(w, c, "reference"));
+  c.util_timeline_bins = 0;
+  EXPECT_THROW(run_schedule(w, c), std::invalid_argument);
 }
 
 TEST(FleetCore, MetricsCapLeavesJobRecordsExact) {
@@ -139,11 +141,6 @@ TEST(FleetCore, MetricsCapLeavesJobRecordsExact) {
 TEST(FleetCore, RejectsUnknownCore) {
   ScheduleRunOptions options;
   options.core = "quadratic";
-  EXPECT_THROW(
-      run_schedule(reclaim_trace(), cluster(8, "burst_lending"), options),
-      std::invalid_argument);
-  options.core = "indexed";
-  options.util_timeline_bins = -1;
   EXPECT_THROW(
       run_schedule(reclaim_trace(), cluster(8, "burst_lending"), options),
       std::invalid_argument);

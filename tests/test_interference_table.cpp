@@ -4,8 +4,6 @@
 
 #include <stdexcept>
 
-#include "sched/scheduler.h"
-
 namespace deeppool::calib {
 namespace {
 
@@ -172,25 +170,6 @@ TEST(InterferenceModel, AnalyticOnlyModelIsUncalibrated) {
   EXPECT_DOUBLE_EQ(f.bg_efficiency, analytic_bg_lend_efficiency(mux));
   EXPECT_EQ(model.hits(), 0);
   EXPECT_EQ(model.misses(), 1);
-}
-
-TEST(AnalyticFactors, SchedReExportsTheCalibOwnedMath) {
-  // The analytic interference math moved into calib/; sched re-exports it
-  // so existing callers keep compiling and the two can never diverge.
-  runtime::MultiplexConfig naive;
-  naive.cuda_graphs = false;
-  naive.stream_priorities = false;
-  naive.pacing_limit = 0;
-  naive.slowdown_feedback = false;
-  const runtime::MultiplexConfig full;
-  for (const runtime::MultiplexConfig& mux : {naive, full}) {
-    EXPECT_DOUBLE_EQ(sched::fg_interference(mux),
-                     analytic_fg_interference(mux));
-    EXPECT_DOUBLE_EQ(sched::bg_lend_efficiency(mux),
-                     analytic_bg_lend_efficiency(mux));
-  }
-  EXPECT_GT(analytic_fg_interference(naive), 0.4);
-  EXPECT_LT(analytic_fg_interference(full), 0.06);
 }
 
 }  // namespace

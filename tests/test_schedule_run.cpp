@@ -308,9 +308,10 @@ TEST(ScheduleRun, InterferenceFactorsFollowTheMuxLadder) {
   naive.pacing_limit = 0;
   naive.slowdown_feedback = false;
   const runtime::MultiplexConfig full;  // defaults: everything on
-  EXPECT_GT(fg_interference(naive), 0.4);
-  EXPECT_LT(fg_interference(full), 0.06);
-  EXPECT_GT(bg_lend_efficiency(full), bg_lend_efficiency(naive));
+  EXPECT_GT(calib::analytic_fg_interference(naive), 0.4);
+  EXPECT_LT(calib::analytic_fg_interference(full), 0.06);
+  EXPECT_GT(calib::analytic_bg_lend_efficiency(full),
+            calib::analytic_bg_lend_efficiency(naive));
 
   // Naive collocation interferes so much that the QoS-aware rule refuses to
   // lend: goodput falls back toward partitioning but the bound still holds.

@@ -10,6 +10,9 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "api/request.h"
 #include "api/service.h"
@@ -112,6 +115,55 @@ TEST(Service, ScheduleHitsTheWarmPlanCacheAcrossRequests) {
             normalized_schedule_payload(second.payload).dump(2));
   EXPECT_EQ(normalized_schedule_payload(second.payload).dump(2),
             normalized_schedule_payload(third.payload).dump(2));
+}
+
+TEST(Service, ConcurrentSchedulesCountOnlyTheirOwnPlanCacheLookups) {
+  // Two requests on different fabrics share no plan-cache key, so running
+  // them together on one Service cannot change which of their lookups hit.
+  sched::ScheduleSpec nvswitch = tiny_schedule();
+  sched::ScheduleSpec slow_net = tiny_schedule();
+  slow_net.config.network = "100g";
+  const Request requests[2] = {
+      Request{ScheduleRequest{nvswitch, "", "", ""}},
+      Request{ScheduleRequest{slow_net, "", "", ""}}};
+  const auto counters = [](const Response& response) {
+    const Json& fleet = response.payload.at("result").at("fleet");
+    return std::make_pair(fleet.at("plan_cache_hits").as_int(),
+                          fleet.at("plan_cache_misses").as_int());
+  };
+  std::pair<std::int64_t, std::int64_t> alone[2];
+  for (int i = 0; i < 2; ++i) {
+    Service fresh(ServiceOptions{1, nullptr});
+    alone[i] = counters(fresh.handle(requests[i]));
+  }
+
+  // Every cold plan sleeps, so each run's lookups land while the other
+  // run is between its engine setup and its fleet metrics.
+  util::failpoints::configure("plan_cache/resolve=delay(30)");
+  Service service(ServiceOptions{2, nullptr});
+  Response responses[2];
+  std::string errors[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        util::PoolLease lease = service.leases().acquire(2);
+        RequestScope scope(&lease);
+        responses[i] = service.handle(requests[i]);
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  util::failpoints::clear();
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(errors[i], "");
+    ASSERT_TRUE(responses[i].ok) << responses[i].error;
+    EXPECT_EQ(counters(responses[i]), alone[i]) << "request " << i;
+  }
+  EXPECT_EQ(service.plan_cache().misses(), alone[0].second + alone[1].second);
 }
 
 TEST(Service, CalibrationTableLoadsOnceAndStaysResident) {
